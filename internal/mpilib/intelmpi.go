@@ -2,6 +2,7 @@ package mpilib
 
 import (
 	"fmt"
+	"math"
 
 	"mpicollpred/internal/coll"
 	"mpicollpred/internal/machine"
@@ -32,18 +33,30 @@ func IntelMPI() *Library {
 
 // tunedDecide returns a decision function that picks the configuration with
 // the smallest noise-free simulated runtime on the machine's reference
-// network (memoized by the caller via CollectiveSet.Decide).
+// network (memoized by the caller via CollectiveSet.Decide), lowest ID on
+// ties and ID 1 when every run fails.
+//
+// It is a branch-and-bound argmin with the result of the exhaustive one.
+// Configurations run in ascending ID order, each bounded by the incumbent's
+// time: rank clocks never decrease (see sim.CostModel) and every rank starts
+// at 0, so a run cut at bestT has Time >= bestT and could not have replaced
+// the incumbent, which has the lower ID. One program and one model are
+// recycled across the candidates; a noise-free Reset(1) model is a fresh one.
 func tunedDecide(s *CollectiveSet) func(machine.Machine, netmodel.Topology, int64) int {
 	return func(mach machine.Machine, topo netmodel.Topology, m int64) int {
 		eng := sim.NewEngine()
-		bestID, bestT := 0, 0.0
+		model := netmodel.New(mach.RefNet, topo, 1, false)
+		var prog *sim.Program
+		bestID, bestT := 0, math.Inf(1)
 		for _, c := range s.Selectable() {
-			t, err := SimulateOnce(eng, c, mach.RefNet, topo, m, 1, false)
+			prog = BuildProgramInto(prog, c, topo, m, false)
+			model.Reset(1)
+			res, err := eng.RunBounded(prog, model, nil, nil, bestT)
 			if err != nil {
-				continue // a failing schedule cannot be the default
+				continue // failing or cut: it cannot be the default
 			}
-			if bestID == 0 || t < bestT {
-				bestID, bestT = c.ID, t
+			if res.Time < bestT {
+				bestID, bestT = c.ID, res.Time
 			}
 		}
 		if bestID == 0 {

@@ -174,8 +174,8 @@ func BuildProgramInto(scratch *sim.Program, c Config, topo netmodel.Topology, m 
 }
 
 // SimulateOnce runs configuration c once on the given network parameters and
-// returns the makespan. It is the primitive used both by the benchmark
-// harness and by the Intel-style tuning-table construction.
+// returns the makespan. The experiments and examples use it for one-off
+// runs; the Intel-style default decision runs bounded, on recycled state.
 func SimulateOnce(eng *sim.Engine, c Config, prm netmodel.Params, topo netmodel.Topology, m int64, seed uint64, noisy bool) (float64, error) {
 	prog := BuildProgram(c, topo, m, false)
 	model := netmodel.New(prm, topo, seed, noisy)

@@ -1,6 +1,8 @@
 package mpilib
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"mpicollpred/internal/coll"
@@ -220,5 +222,104 @@ func TestLabels(t *testing.T) {
 	c, _ := s.Config(2) // first chain config
 	if c.Label() != "chain seg=1024 fanout=2" {
 		t.Errorf("Label = %q", c.Label())
+	}
+}
+
+// exhaustiveDecide is the reference Intel oracle: every selectable
+// configuration simulated to completion, the fastest kept, lowest ID on
+// ties, ID 1 when every run fails.
+func exhaustiveDecide(s *CollectiveSet, mach machine.Machine, topo netmodel.Topology, m int64) int {
+	eng := sim.NewEngine()
+	bestID, bestT := 0, 0.0
+	for _, c := range s.Selectable() {
+		t, err := SimulateOnce(eng, c, mach.RefNet, topo, m, 1, false)
+		if err != nil {
+			continue
+		}
+		if bestID == 0 || t < bestT {
+			bestID, bestT = c.ID, t
+		}
+	}
+	if bestID == 0 {
+		return 1
+	}
+	return bestID
+}
+
+func TestIntelDecideEqualsExhaustiveArgmin(t *testing.T) {
+	lib := IntelMPI()
+	topos := []netmodel.Topology{{Nodes: 2, PPN: 1}, {Nodes: 1, PPN: 4}, {Nodes: 3, PPN: 4}, {Nodes: 4, PPN: 2, Cyclic: true}, {Nodes: 5, PPN: 3}}
+	msizes := []int64{1, 1000, 16384, 100000, 1 << 20}
+	for _, collName := range lib.Collectives() {
+		s, _ := lib.Collective(collName)
+		winners := map[int]bool{}
+		for _, mach := range machine.All() {
+			for _, topo := range topos {
+				for _, m := range msizes {
+					want := exhaustiveDecide(s, mach, topo, m)
+					if got := s.Decide(mach, topo, m); got != want {
+						t.Errorf("%s %s %v m=%d: Decide %d, exhaustive argmin %d", collName, mach.Name, topo, m, got, want)
+					}
+					winners[want] = true
+				}
+			}
+		}
+		// A grid won by config 1 alone would never exercise a cut.
+		if len(winners) < 2 {
+			t.Errorf("%s: the grid has a single winner %v", collName, winners)
+		}
+	}
+}
+
+// deadlocks is a generator whose schedule can never complete.
+func deadlocks(b *sim.Builder, _ netmodel.Topology, _ int64, _ coll.Params) { b.Recv(0, 1, 8) }
+
+func TestIntelDecideTiesAndFailures(t *testing.T) {
+	mach := machine.Hydra()
+	topo := netmodel.Topology{Nodes: 3, PPN: 2}
+	const m = 4096
+	binomial := Config{AlgID: 2, Name: "binomial", Gen: coll.BcastBinomial}
+	broken := Config{AlgID: 1, Name: "broken", Gen: deadlocks}
+	set := func(cfgs ...Config) *CollectiveSet {
+		s := &CollectiveSet{Coll: Bcast, NumAlgs: len(cfgs)}
+		for i, c := range cfgs {
+			c.ID = i + 1
+			s.Configs = append(s.Configs, c)
+		}
+		s.decide = tunedDecide(s)
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		s    *CollectiveSet
+		want int
+	}{
+		{"twins", set(binomial, binomial), 1},
+		{"failure then twins", set(broken, binomial, binomial), 2},
+		{"all fail", set(broken, broken), 1},
+	} {
+		if ref := exhaustiveDecide(tc.s, mach, topo, m); ref != tc.want {
+			t.Fatalf("%s: reference argmin %d, want %d", tc.name, ref, tc.want)
+		}
+		if got := tc.s.Decide(mach, topo, m); got != tc.want {
+			t.Errorf("%s: Decide %d, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	// The twin is cut at exactly the incumbent's time, and completes with
+	// that very time one ulp above it.
+	bestT, err := SimulateOnce(sim.NewEngine(), binomial, mach.RefNet, topo, m, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := BuildProgram(binomial, topo, m, false)
+	model := netmodel.New(mach.RefNet, topo, 1, false)
+	if _, err := sim.NewEngine().RunBounded(prog, model, nil, nil, bestT); !errors.Is(err, sim.ErrOverLimit) {
+		t.Errorf("twin bounded at bestT %v: err %v, want ErrOverLimit", bestT, err)
+	}
+	model.Reset(1)
+	res, err := sim.NewEngine().RunBounded(prog, model, nil, nil, math.Nextafter(bestT, math.Inf(1)))
+	if err != nil || res.Time != bestT {
+		t.Errorf("twin bounded just above bestT: time %v err %v, want %v", res.Time, err, bestT)
 	}
 }

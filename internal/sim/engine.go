@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +11,12 @@ import (
 // Implementations may be stateful per run (e.g. per-node NIC availability);
 // the Engine calls the Send methods in nondecreasing simulated-time order of
 // the posting events.
+//
+// Clocks are monotone under a CostModel: every returned time is no earlier
+// than the input times it was computed from (senderDone and arrival are
+// >= t, ts and tr), and the overheads and Compute costs are >= 0. A rank's
+// clock therefore never decreases during a run, which is what lets
+// RunBounded stop a run as soon as one clock reaches its limit.
 type CostModel interface {
 	// Eager reports whether a message of the given size uses the eager
 	// protocol (sender does not wait for the receiver).
@@ -150,9 +157,25 @@ func (e *Engine) pairOf(src, dst int32) *pairState {
 	return ps
 }
 
+// ErrOverLimit is returned by RunBounded when a rank's clock reaches the
+// run's time limit.
+var ErrOverLimit = errors.New("sim: a rank's clock reached the run's time limit")
+
 // Run executes prog against model. start gives per-rank start times (nil
-// means all ranks start at time zero). obs may be nil.
+// means all ranks start at time zero). obs may be nil. It is RunBounded with
+// an infinite limit, so only a clock that became +Inf ends it early.
 func (e *Engine) Run(prog *Program, model CostModel, start []float64, obs Observer) (Result, error) {
+	return e.RunBounded(prog, model, start, obs, math.Inf(1))
+}
+
+// RunBounded is Run that gives up with ErrOverLimit as soon as any rank's
+// clock is >= limit, and also when a completed run has a finish time
+// >= limit: it returns a Result exactly when every clock stayed below limit,
+// and that Result is bit-equal to Run's. Because clocks are monotone (see
+// CostModel), a cut run's finish times would all have been >= the clock that
+// cut it, so with start times of zero a cut proves Time >= limit. A cut run
+// leaves its stats and tracer spans partial; the engine stays reusable.
+func (e *Engine) RunBounded(prog *Program, model CostModel, start []float64, obs Observer, limit float64) (Result, error) {
 	p := prog.NumRanks()
 	if cap(e.clock) < p {
 		e.clock = make([]float64, p)
@@ -240,6 +263,9 @@ func (e *Engine) Run(prog *Program, model CostModel, start []float64, obs Observ
 				return Result{}, err
 			}
 			events++
+			if e.clock[r] >= limit {
+				return Result{}, ErrOverLimit
+			}
 			if e.collectStats && len(e.heap) > e.stats.PeakHeapDepth {
 				e.stats.PeakHeapDepth = len(e.heap)
 			}
@@ -257,18 +283,21 @@ func (e *Engine) Run(prog *Program, model CostModel, start []float64, obs Observ
 		return Result{}, e.deadlockError(prog)
 	}
 
-	res := Result{Finish: append([]float64(nil), e.clock...), Events: events}
-	if e.collectStats {
-		s := e.stats
-		res.Stats = &s
-	}
 	maxT := 0.0
 	for _, t := range e.clock {
+		if t >= limit {
+			// Set by a wake-up: the rank finished without stepping again.
+			return Result{}, ErrOverLimit
+		}
 		if t > maxT {
 			maxT = t
 		}
 	}
-	res.Time = maxT - minStart
+	res := Result{Finish: append([]float64(nil), e.clock...), Events: events, Time: maxT - minStart}
+	if e.collectStats {
+		s := e.stats
+		res.Stats = &s
+	}
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -497,5 +498,132 @@ func TestComputeSplitsHugeByteCounts(t *testing.T) {
 	}
 	if total != 5<<30 {
 		t.Fatalf("split computes sum to %d, want %d", total, int64(5)<<30)
+	}
+}
+
+// boundedPrograms covers both places RunBounded can cut: after a step (ring,
+// tree, nb) and at completion, for a rank whose last clock was set by a
+// wake-up (ping: rank 0 runs first, parks on its only receive and finishes
+// when woken).
+func boundedPrograms() map[string]*Program {
+	ping := NewBuilder(2, false)
+	ping.Send(1, 0, 1000)
+	ping.Recv(0, 1, 1000)
+	nb := NewBuilder(3, false)
+	for r := 1; r < 3; r++ {
+		nb.SendNB(0, r, 2048)
+		nb.Compute(r, 4096)
+		nb.Recv(r, 0, 2048)
+	}
+	nb.Compute(0, 50000)
+	return map[string]*Program{
+		"ring": buildRing(8, 14),
+		"tree": buildTree(8, 4),
+		"ping": ping.Build(),
+		"nb":   nb.Build(),
+	}
+}
+
+func TestRunBoundedAboveMakespanEqualsRun(t *testing.T) {
+	for name, prog := range boundedPrograms() {
+		m := newTestModel()
+		want, err := NewEngine().Run(prog, m, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []float64{math.Nextafter(want.Time, math.Inf(1)), 2 * want.Time, math.Inf(1)} {
+			got, err := NewEngine().RunBounded(prog, m, nil, nil, limit)
+			if err != nil {
+				t.Fatalf("%s limit %v: %v", name, limit, err)
+			}
+			if math.Float64bits(got.Time) != math.Float64bits(want.Time) || got.Events != want.Events {
+				t.Errorf("%s limit %v: time %v events %d, Run gave %v, %d", name, limit, got.Time, got.Events, want.Time, want.Events)
+			}
+			for r := range want.Finish {
+				if math.Float64bits(got.Finish[r]) != math.Float64bits(want.Finish[r]) {
+					t.Errorf("%s limit %v: rank %d finish %v, Run gave %v", name, limit, r, got.Finish[r], want.Finish[r])
+				}
+			}
+		}
+	}
+}
+
+func TestRunBoundedCutsAtAndBelowMakespan(t *testing.T) {
+	for name, prog := range boundedPrograms() {
+		m := newTestModel()
+		want, err := NewEngine().Run(prog, m, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []float64{want.Time, math.Nextafter(want.Time, 0), want.Time / 2, 0} {
+			if _, err := NewEngine().RunBounded(prog, m, nil, nil, limit); !errors.Is(err, ErrOverLimit) {
+				t.Errorf("%s (makespan %v) limit %v: err %v, want ErrOverLimit", name, want.Time, limit, err)
+			}
+		}
+	}
+}
+
+func TestRunBoundedStopsAtFirstClockAtLimit(t *testing.T) {
+	// Rank 0's first compute ends exactly at the limit; nothing after that
+	// step may run.
+	m := newTestModel()
+	b := NewBuilder(2, false)
+	b.Compute(0, 10000)
+	b.Send(0, 1, 100)
+	b.Recv(1, 0, 100)
+	b.Compute(1, 10000)
+	eng := NewEngine()
+	tr := &recordingTracer{}
+	eng.SetTracer(tr)
+	if _, err := eng.RunBounded(b.Build(), m, nil, nil, m.Compute(10000)); !errors.Is(err, ErrOverLimit) {
+		t.Fatalf("err %v, want ErrOverLimit", err)
+	}
+	if len(tr.spans) != 1 || tr.spans[0].kind != OpCompute {
+		t.Errorf("cut run traced %+v, want only rank 0's first compute", tr.spans)
+	}
+}
+
+func TestEngineReuseAfterCutRun(t *testing.T) {
+	// Rendezvous-sized messages keep senders parked and pair queues full, so
+	// a cut leaves heap entries and in-flight pair state behind.
+	m := newTestModel()
+	m.eagerAt = 512
+	progs := boundedPrograms()
+	names := []string{"ring", "tree", "ping", "nb"}
+	reused := NewEngine()
+	reused.CollectStats(true)
+	for _, cut := range names {
+		full, err := NewEngine().Run(progs[cut], m, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reused.RunBounded(progs[cut], m, nil, nil, full.Time/3); !errors.Is(err, ErrOverLimit) {
+			t.Fatalf("cut %s: err %v, want ErrOverLimit", cut, err)
+		}
+		for _, next := range names {
+			fresh := NewEngine()
+			fresh.CollectStats(true)
+			want, err := fresh.Run(progs[next], m, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reused.Run(progs[next], m, nil, nil)
+			if err != nil {
+				t.Fatalf("after cut %s, run %s: %v", cut, next, err)
+			}
+			if got.Time != want.Time || got.Events != want.Events || *got.Stats != *want.Stats {
+				t.Errorf("after cut %s, run %s: time %v events %d stats %+v; fresh engine %v, %d, %+v",
+					cut, next, got.Time, got.Events, *got.Stats, want.Time, want.Events, *want.Stats)
+			}
+			for r := range want.Finish {
+				if got.Finish[r] != want.Finish[r] {
+					t.Errorf("after cut %s, run %s: rank %d finish %v, fresh engine %v", cut, next, r, got.Finish[r], want.Finish[r])
+				}
+			}
+			// Cut again, so the next program also follows a cut run.
+			if _, err := reused.RunBounded(progs[cut], m, nil, nil, full.Time/3); !errors.Is(err, ErrOverLimit) {
+				t.Fatalf("cut %s again: err %v", cut, err)
+			}
+		}
 	}
 }
